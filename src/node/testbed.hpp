@@ -18,7 +18,6 @@
 #include "peerhood/library.hpp"
 #include "sim/medium.hpp"
 #include "sim/mobility.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
 namespace peerhood::node {
@@ -84,23 +83,13 @@ class Node {
 
 class Testbed {
  public:
-  // `shards` selects the sharded simulation core: 1 = the plain
-  // single-threaded kernel (bit-identical to the pre-sharding Testbed),
-  // N > 1 = conservative time windows on a worker pool, 0 (the default) =
-  // read the PEERHOOD_SHARDS environment variable (absent/invalid -> 1).
-  // The protocol stack always runs on the control shard (shard 0), whose
-  // RNG stream equals a plain Simulator(seed) — so scenario results are
-  // identical under every shard count, and the env knob lets the whole
-  // suite run against the windowed path.
   explicit Testbed(std::uint64_t seed,
-                   sim::LinkQualityModel quality_model = {},
-                   std::uint32_t shards = 0);
+                   sim::LinkQualityModel quality_model = {});
 
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  [[nodiscard]] sim::ShardedSimulator& core() { return core_; }
-  [[nodiscard]] sim::Simulator& sim() { return core_.control(); }
+  [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] sim::RadioMedium& medium() { return medium_; }
   [[nodiscard]] net::SimNetwork& network() { return network_; }
 
@@ -123,8 +112,8 @@ class Testbed {
   void run_discovery_rounds(int rounds);
 
  private:
-  sim::ShardedSimulator core_;
-  sim::RadioMedium medium_;  // on the control shard
+  sim::Simulator sim_;
+  sim::RadioMedium medium_;
   net::SimNetwork network_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::uint64_t next_mac_index_{1};

@@ -221,8 +221,10 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_{std::move(spec)} {}
 ScenarioRunner::~ScenarioRunner() = default;
 
 Status ScenarioRunner::setup() {
-  testbed_ = std::make_unique<node::Testbed>(spec_.seed, spec_.quality_model,
-                                             spec_.shards);
+  if (spec_.shards != 1) {
+    return Error{ErrorCode::kInvalidArgument, "shards must be 1"};
+  }
+  testbed_ = std::make_unique<node::Testbed>(spec_.seed, spec_.quality_model);
   if (spec_.radio.has_value()) testbed_->medium().configure(*spec_.radio);
 
   // The server-side accept handler needs to know, per service, whether its

@@ -185,12 +185,10 @@ struct ScenarioSpec {
   FaultScheduleSpec faults{};
   // Node-crash plane for the scenario body; same lazy-construction contract.
   CrashScheduleSpec crashes{};
-  // Simulation shard count handed to the Testbed: 1 = the plain
-  // single-threaded kernel, N > 1 = the conservative windowed core on a
-  // worker pool, 0 (default) = the PEERHOOD_SHARDS environment variable.
-  // The stack runs on the control shard, so metrics are identical under
-  // every shard count (tests/test_shard_scenario_parity.cpp).
-  std::uint32_t shards{0};
+  // Simulation shard count. 1 (the single-threaded kernel) is the only
+  // value left; setup() rejects any other with kInvalidArgument. The field
+  // stays only because the frozen benchmark sources still assign it.
+  std::uint32_t shards{1};
 };
 
 struct SessionMetrics {

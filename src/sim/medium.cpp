@@ -618,14 +618,6 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
     // A reordered frame is exempt from the in-order bump: its extra delay
     // lets frames sent after it overtake it, which is the whole point.
 
-    // Remote interception happens *after* the in-order bump so the
-    // send-side state (stats, last_delivery_) evolves identically whether
-    // the receiver is local or on another shard.
-    if (remote_router_ != nullptr &&
-        remote_router_(from, to, tech, deliver_at, frame)) {
-      continue;
-    }
-
     auto deliver = [this, from, to, tech, frame]() {
       deliver_frame(from, to, tech, frame);
     };
@@ -649,40 +641,6 @@ void RadioMedium::deliver_frame(MacAddress from, MacAddress to,
     return;
   }
   if (receiver->handler) receiver->handler(from, *frame);
-}
-
-std::vector<RadioMedium::LastDeliveryEntry> RadioMedium::export_last_delivery(
-    MacAddress mac) {
-  std::vector<LastDeliveryEntry> out;
-  const std::uint64_t raw = mac.as_u64();
-  for (auto it = last_delivery_.begin(); it != last_delivery_.end();) {
-    // Send-side state only (from == mac): the in-order bump runs on the
-    // *sender's* replica, so entries where `mac` is the receiver belong to
-    // whatever shard owns the sender and must stay put.
-    if (std::get<0>(it->first) == raw) {
-      out.emplace_back(it->first, it->second);
-      it = last_delivery_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return out;
-}
-
-void RadioMedium::import_last_delivery(
-    const std::vector<LastDeliveryEntry>& entries) {
-  for (const auto& [key, at] : entries) {
-    auto [it, inserted] = last_delivery_.emplace(key, at);
-    if (!inserted && it->second < at) it->second = at;
-  }
-}
-
-SimDuration RadioMedium::min_per_hop_latency() const {
-  SimDuration min_latency = tech_[0].params.per_hop_latency;
-  for (std::size_t i = 1; i < tech_.size(); ++i) {
-    min_latency = std::min(min_latency, tech_[i].params.per_hop_latency);
-  }
-  return min_latency;
 }
 
 void RadioMedium::age_last_delivery() {

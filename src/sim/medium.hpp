@@ -47,18 +47,6 @@ struct TrafficStats {
   std::uint64_t frames{0};
   std::uint64_t frame_bytes{0};
   std::uint64_t drops{0};
-
-  // Shard-mergeable: send-side counters accrue on the sending shard's
-  // replica, delivery drops on the receiving shard's — the merged totals of
-  // a sharded run must equal a single-shard run of the same workload.
-  TrafficStats& operator+=(const TrafficStats& other) {
-    inquiries += other.inquiries;
-    inquiry_responses += other.inquiry_responses;
-    frames += other.frames;
-    frame_bytes += other.frame_bytes;
-    drops += other.drops;
-    return *this;
-  }
 };
 
 // Counters for the link-quality plane. `evaluations` counts actual
@@ -71,17 +59,6 @@ struct QualityStats {
   std::uint64_t cache_hits{0};
   std::uint64_t observer_evals{0};
   std::uint64_t events_emitted{0};
-
-  // Per-shard-mergeable: each replica's observer tick walk only counts the
-  // links it evaluates locally; totals across shards add up instead of
-  // being recomputed globally on every walk.
-  QualityStats& operator+=(const QualityStats& other) {
-    evaluations += other.evaluations;
-    cache_hits += other.cache_hits;
-    observer_evals += other.observer_evals;
-    events_emitted += other.events_emitted;
-    return *this;
-  }
 };
 
 // A threshold/coverage crossing on an observed link, pushed by the medium to
@@ -242,46 +219,6 @@ class RadioMedium {
   void send_frame(MacAddress from, MacAddress to, Technology tech,
                   FramePtr frame);
 
-  // --- Sharding hooks --------------------------------------------------------
-  // Terminal delivery of an already-scheduled frame: range-check at delivery
-  // time and invoke the receiver's handler. send_frame's delivery events call
-  // this; the sharded medium also calls it directly when a cross-shard frame
-  // arrives on the owning replica.
-  void deliver_frame(MacAddress from, MacAddress to, Technology tech,
-                     const FramePtr& frame);
-
-  // Remote-delivery interception point for the sharded medium. Called by
-  // send_frame once the final delivery time is computed (fault judgement,
-  // serialization delay and the in-order bump all included, so send-side
-  // semantics are identical either way). Returning true claims the frame:
-  // the local replica schedules no delivery event, and the router is
-  // responsible for invoking deliver_frame on the owning shard's replica at
-  // `deliver_at`. Returning false keeps ordinary local scheduling.
-  using RemoteRouter = std::function<bool(
-      MacAddress from, MacAddress to, Technology tech, SimTime deliver_at,
-      const FramePtr& frame)>;
-  void set_remote_router(RemoteRouter router) {
-    remote_router_ = std::move(router);
-  }
-
-  // In-order state handoff for endpoint shard migration: a migrating
-  // endpoint's *outbound* (from == mac) last-delivery entries move with it
-  // — the in-order bump runs on the sender's replica, so the endpoint's
-  // send-ordering state follows its owner while inbound entries stay with
-  // each sender. export_ removes and returns the entries; import_ merges
-  // them (keeping the later time on collision).
-  using LastDeliveryEntry =
-      std::pair<std::tuple<std::uint64_t, std::uint64_t, std::uint8_t>,
-                SimTime>;
-  [[nodiscard]] std::vector<LastDeliveryEntry> export_last_delivery(
-      MacAddress mac);
-  void import_last_delivery(const std::vector<LastDeliveryEntry>& entries);
-
-  // The minimum per-hop frame latency across the configured technologies —
-  // the binding lookahead of the conservative sharded core: no frame can
-  // cross shards in less simulated time than this.
-  [[nodiscard]] SimDuration min_per_hop_latency() const;
-
   // --- Fault injection -------------------------------------------------------
   // Lazily creates the fault plane. The dedicated RNG stream is forked on
   // first use, so runs that never touch the plane draw exactly the seed
@@ -387,6 +324,10 @@ class RadioMedium {
 
   [[nodiscard]] Vec2 cached_position(const Endpoint& endpoint) const;
   [[nodiscard]] TechState& state(Technology tech) const;
+  // Terminal delivery of a frame scheduled by send_frame: range-check at
+  // delivery time and invoke the receiver's handler.
+  void deliver_frame(MacAddress from, MacAddress to, Technology tech,
+                     const FramePtr& frame);
   // Brings all stale technology grids current (single pass over the
   // endpoints); no-op when `ts`'s grid is already current. Never-built grids
   // are rebuilt wholesale, built ones refreshed incrementally (moved
@@ -433,8 +374,6 @@ class RadioMedium {
   // Null until fault_plane() is first called; the per-frame hot path pays
   // one pointer test when no faults were ever configured.
   std::unique_ptr<LinkFaultModel> faults_;
-  // Null outside sharded runs; see set_remote_router.
-  RemoteRouter remote_router_;
 
   // --- Link-quality plane ---------------------------------------------------
   std::vector<QualityObserver> observers_;

@@ -43,25 +43,7 @@ class MobilityModel {
   // clock advances, so a mostly-static deployment pays grid maintenance
   // only for the endpoints that actually move.
   [[nodiscard]] virtual bool is_static() const { return false; }
-
-  // Deep deterministic copy for the sharded medium: replicas on different
-  // worker threads each sample a private clone, so the mutable lazy-segment
-  // caches of the stochastic models are never shared across threads. The
-  // clone replays the identical trajectory (pristine initial RNG state
-  // travels with the copy). Returns nullptr for models whose sampling is
-  // immutable — those are safe to share as-is.
-  [[nodiscard]] virtual std::shared_ptr<const MobilityModel> clone() const {
-    return nullptr;
-  }
 };
-
-// The sharing policy in one place: a private clone when the model needs one,
-// the original otherwise.
-inline std::shared_ptr<const MobilityModel> clone_or_share(
-    const std::shared_ptr<const MobilityModel>& model) {
-  auto clone = model->clone();
-  return clone != nullptr ? clone : model;
-}
 
 // Fixed device (the paper's "static" terminals: PCs, servers).
 class StaticPosition final : public MobilityModel {
@@ -147,10 +129,6 @@ class RandomWaypoint final : public MobilityModel {
   // sims bounded.
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 
-  [[nodiscard]] std::shared_ptr<const MobilityModel> clone() const override {
-    return std::make_shared<RandomWaypoint>(*this);
-  }
-
  private:
   struct Segment {
     SimTime depart;
@@ -195,10 +173,6 @@ class GaussMarkov final : public MobilityModel {
   [[nodiscard]] Vec2 velocity_at(SimTime t) const override;
 
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
-
-  [[nodiscard]] std::shared_ptr<const MobilityModel> clone() const override {
-    return std::make_shared<GaussMarkov>(*this);
-  }
 
  private:
   struct Segment {
@@ -249,16 +223,6 @@ class GroupMember final : public MobilityModel {
   }
 
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
-
-  [[nodiscard]] std::shared_ptr<const MobilityModel> clone() const override {
-    // Deep: the reference walk's cache must not be shared across threads
-    // either, and its clone replays the identical group trajectory.
-    auto copy = std::make_shared<GroupMember>(*this);
-    if (auto reference = reference_->clone()) {
-      copy->reference_ = std::move(reference);
-    }
-    return copy;
-  }
 
  private:
   struct Segment {

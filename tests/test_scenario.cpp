@@ -120,5 +120,16 @@ TEST(ScenarioRunner, UnknownServiceFailsSetup) {
   EXPECT_FALSE(runner.setup().ok());
 }
 
+TEST(ScenarioRunner, ShardCountOtherThanOneFailsSetup) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    ScenarioSpec spec = corridor_walk(1, true);
+    spec.shards = shards;
+    ScenarioRunner runner{std::move(spec)};
+    const Status status = runner.setup();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, ErrorCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace peerhood::scenario
