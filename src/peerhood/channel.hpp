@@ -81,6 +81,11 @@ class Channel {
 
   // Duplicate handshakes / acknowledgements this channel swallowed instead
   // of delivering to the application (dial retransmission + lossy media).
+  // Only a frame that decodes as a whole handshake is swallowed, so any
+  // payload longer than one byte reaches the application — except one that
+  // happens to be a complete PH_CONNECT/PH_RESUME/PH_BRIDGE for this very
+  // session. The 1-byte payload {0x0D} is indistinguishable from an in-band
+  // PH_OK and is always swallowed.
   [[nodiscard]] std::uint64_t stray_handshakes_absorbed() const {
     return stray_handshakes_absorbed_;
   }

@@ -371,7 +371,10 @@ std::optional<Handshake> decode_handshake(std::span<const std::uint8_t> frame) {
     default:
       return std::nullopt;
   }
-  if (!reader.ok()) return std::nullopt;
+  // A handshake is exactly one encoded message: trailing bytes mean the
+  // frame is something else (an application payload that merely starts
+  // with a command byte), not a handshake with padding.
+  if (!reader.ok() || !reader.at_end()) return std::nullopt;
   return handshake;
 }
 

@@ -222,6 +222,30 @@ TEST(Protocol, OkAndFail) {
   EXPECT_EQ(fail->fail.message, "nothing");
 }
 
+// Every handshake encoder's frame decodes only as a whole: one extra byte
+// makes it something other than a handshake.
+TEST(Protocol, HandshakeWithTrailingBytesRejected) {
+  ConnectRequest request;
+  request.session_id = 7;
+  request.service = "echo";
+  BridgeRequest bridge;
+  bridge.destination = MacAddress::from_index(3);
+  bridge.inner = request;
+  const Bytes frames[] = {encode_connect(request),
+                          encode_resume(request),
+                          encode_resume_restart(request),
+                          encode_bridge(bridge),
+                          encode_ok(),
+                          encode_fail(ErrorCode::kNoRoute, "nothing")};
+  for (const Bytes& frame : frames) {
+    ASSERT_TRUE(decode_handshake(frame).has_value());
+    Bytes padded = frame;
+    padded.push_back(0);
+    EXPECT_FALSE(decode_handshake(padded).has_value());
+  }
+  EXPECT_EQ(encode_ok().size(), 1u);
+}
+
 TEST(Protocol, MalformedInputRejected) {
   EXPECT_FALSE(decode_handshake(Bytes{}).has_value());
   EXPECT_FALSE(decode_handshake(Bytes{0x63}).has_value());
