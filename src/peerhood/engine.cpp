@@ -1,5 +1,7 @@
 #include "peerhood/engine.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "net/address.hpp"
 
@@ -64,6 +66,11 @@ void Engine::set_bridge_handler(BridgeHandler handler) {
 
 void Engine::register_session(const ChannelPtr& channel) {
   sessions_[channel->session_id()] = channel;
+  if (sessions_.size() >= session_sweep_limit_) {
+    std::erase_if(sessions_,
+                  [](const auto& entry) { return entry.second.expired(); });
+    session_sweep_limit_ = std::max(kSessionMinSweep, sessions_.size() * 2);
+  }
 }
 
 void Engine::unregister_session(std::uint64_t session_id) {

@@ -56,6 +56,8 @@ class Engine {
 
   // Session registry used by PH_RESUME to substitute connections of live
   // sessions. Sessions are held weakly: a dropped server channel expires.
+  // Expired entries are swept once the map reaches a high-water mark, so a
+  // long-lived engine does not keep every dead channel's allocation.
   void register_session(const ChannelPtr& channel);
   void unregister_session(std::uint64_t session_id);
   // Pure lookup — never mutates the registry. Returns nullptr for unknown or
@@ -91,6 +93,8 @@ class Engine {
   // Accepted connections awaiting their first (handshake) frame.
   std::map<std::uint64_t, net::ConnectionPtr> pending_;
   std::map<std::uint64_t, std::weak_ptr<Channel>> sessions_;
+  std::size_t session_sweep_limit_{kSessionMinSweep};
+  static constexpr std::size_t kSessionMinSweep = 64;
   SessionStore* session_store_{nullptr};
   Stats stats_;
 };
