@@ -87,7 +87,8 @@ const SessionRecord* SessionStore::find(std::uint64_t session_id) const {
 }
 
 void SessionStore::erase(std::uint64_t session_id) {
-  records_.erase(session_id);
+  // Nothing journalled for this id: the file already says so.
+  if (records_.erase(session_id) == 0) return;
   const auto it = std::find(order_.begin(), order_.end(), session_id);
   if (it != order_.end()) order_.erase(it);
   persist();
