@@ -54,6 +54,32 @@ TEST_F(EngineLibraryTest, ConnectAndEcho) {
   EXPECT_EQ(reply, (Bytes{1, 2, 3}));
 }
 
+// A payload that starts with the PH_OK command byte is application data,
+// not a stray acknowledgement: it crosses a plain channel both ways. Only
+// the bare 1-byte PH_OK frame stays reserved for the in-band handshake.
+TEST_F(EngineLibraryTest, PayloadStartingWithOkByteReachesApplication) {
+  auto result = client_->connect_blocking(server_->mac(), "echo");
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  const ChannelPtr channel = result.value();
+
+  const Bytes payload{0x0D, 1, 2, 3, 4, 5, 6, 7};
+  ASSERT_EQ(payload[0], static_cast<std::uint8_t>(wire::Command::kOk));
+  std::vector<Bytes> replies;
+  channel->set_data_handler(
+      [&replies](const Bytes& frame) { replies.push_back(frame); });
+  ASSERT_TRUE(channel->write(payload).ok());
+  testbed_.run_for(5.0);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0], payload);
+  EXPECT_EQ(channel->stray_handshakes_absorbed(), 0u);
+
+  ASSERT_TRUE(channel->write(wire::encode_ok()).ok());
+  testbed_.run_for(5.0);
+  EXPECT_EQ(replies.size(), 1u);
+  ASSERT_EQ(server_channels_.size(), 1u);
+  EXPECT_EQ(server_channels_[0]->stray_handshakes_absorbed(), 1u);
+}
+
 TEST_F(EngineLibraryTest, ServerSeesClientIdentity) {
   Library::ConnectOptions options;
   options.include_client_params = true;
@@ -187,6 +213,28 @@ TEST(EngineSessionRegistry, ExpiredWeakSessionIsPrunedExplicitly) {
   EXPECT_EQ(engine.session_count(), 1u);
   EXPECT_FALSE(engine.prune_session(8));
   EXPECT_NE(engine.find_session(7), nullptr);
+}
+
+// Dead channels do not pile up in the registry: registering keeps sweeping
+// expired entries, so churning through many sessions stays bounded while a
+// live session survives every sweep.
+TEST(EngineSessionRegistry, ExpiredSessionsAreSweptOnRegister) {
+  sim::Simulator sim{1};
+  sim::RadioMedium medium{sim};
+  net::SimNetwork network{medium};
+  Engine engine{network, MacAddress::from_index(1)};
+
+  auto live =
+      std::make_shared<Channel>(1, "echo", MacAddress::from_index(2), nullptr);
+  engine.register_session(live);
+  std::size_t peak = 0;
+  for (std::uint64_t id = 2; id < 10'002; ++id) {
+    engine.register_session(std::make_shared<Channel>(
+        id, "echo", MacAddress::from_index(3), nullptr));
+    peak = std::max(peak, engine.session_count());
+  }
+  EXPECT_LE(peak, 128u);
+  EXPECT_EQ(engine.find_session(1), live);
 }
 
 }  // namespace
