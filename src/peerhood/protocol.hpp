@@ -184,10 +184,10 @@ struct Handshake {
 [[nodiscard]] Bytes encode_fail(ErrorCode code, std::string_view message);
 
 // Decoders return nullopt on malformed input (remote peers are untrusted).
-// decode_handshake also rejects a frame with bytes left after the message,
-// so PH_OK is exactly the one byte encode_ok() writes.
 // They take spans so datagram dispatch can hand out views into the received
-// frame without copying it into a fresh Bytes first.
+// frame without copying it into a fresh Bytes first. decode_handshake also
+// rejects a frame with bytes left after the message, so PH_OK is exactly the
+// one byte encode_ok() writes.
 [[nodiscard]] std::optional<Handshake> decode_handshake(
     std::span<const std::uint8_t> frame);
 [[nodiscard]] std::optional<FetchRequest> decode_fetch_request(

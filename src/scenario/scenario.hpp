@@ -187,7 +187,7 @@ struct ScenarioSpec {
   CrashScheduleSpec crashes{};
   // Simulation shard count. 1 (the single-threaded kernel) is the only
   // value left; setup() rejects any other with kInvalidArgument. The field
-  // stays only because the frozen benchmark sources still assign it.
+  // stays only while the benchmark sources (perfbench/) still assign it.
   std::uint32_t shards{1};
 };
 
