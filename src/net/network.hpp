@@ -30,13 +30,15 @@
 #include "common/result.hpp"
 #include "net/address.hpp"
 #include "net/connection.hpp"
+#include "net/frame_check.hpp"
 #include "sim/medium.hpp"
 
 namespace peerhood::net {
 
 // Backend-agnostic transport counters, reported identically by chaos/crash
 // benches across backends (merged into ScenarioMetrics for sim runs, logged
-// by the real daemon on shutdown).
+// by the real daemon on shutdown). Both backends count straight into the
+// one block Network::stats_.
 struct NetStats {
   // Receive-side integrity: frames checked / dropped by the length+checksum
   // header (bit corruption on the air, or garbage on a real socket).
@@ -73,15 +75,6 @@ class Network {
   // through send_datagram(FramePtr) without a copy.
   static constexpr std::uint8_t kDatagramFrameTag = 0;
 
-  // Receive-side integrity accounting: frames whose length/checksum header
-  // failed verification are counted and dropped before any decoder sees
-  // them. Kept as its own struct (and not just NetStats fields) for the
-  // fault-plane tests that assert on it directly.
-  struct IntegrityStats {
-    std::uint64_t frames_checked{0};
-    std::uint64_t corrupt_drops{0};
-  };
-
   Network() = default;
   virtual ~Network() = default;
 
@@ -99,8 +92,19 @@ class Network {
   // --- Datagrams (used by the discovery plane) ------------------------------
   virtual void set_datagram_handler(MacAddress mac, Technology tech,
                                     DatagramHandler handler) = 0;
-  virtual void send_datagram(MacAddress from, MacAddress to, Technology tech,
-                             Bytes payload) = 0;
+  // Seals the integrity header + kDatagramFrameTag in front of `payload`
+  // and sends it through the FramePtr overload.
+  void send_datagram(MacAddress from, MacAddress to, Technology tech,
+                     const Bytes& payload) {
+    Bytes frame;
+    frame.reserve(kFrameHeaderSize + payload.size() + 1);
+    frame.resize(kFrameHeaderSize);
+    frame.push_back(kDatagramFrameTag);
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    seal_frame(frame);
+    send_datagram(from, to, tech,
+                  std::make_shared<const Bytes>(std::move(frame)));
+  }
   // Copy-free variant: `frame` must already start with the sealed integrity
   // header + kDatagramFrameTag (the sender baked them in). Repeated sends of
   // the same frame share one allocation end to end — the discovery cache's
@@ -183,21 +187,11 @@ class Network {
   // Count of connections not yet fully closed (for tests).
   [[nodiscard]] virtual std::size_t live_connection_count() const = 0;
 
-  [[nodiscard]] const IntegrityStats& integrity_stats() const {
-    return integrity_;
-  }
-
-  // Backend-agnostic counters; backends fold their queue/reconnect
-  // accounting on top of the shared integrity numbers.
-  [[nodiscard]] virtual NetStats net_stats() const {
-    NetStats stats;
-    stats.frames_checked = integrity_.frames_checked;
-    stats.corrupt_drops = integrity_.corrupt_drops;
-    return stats;
-  }
+  // Backend-agnostic transport counters.
+  [[nodiscard]] const NetStats& net_stats() const { return stats_; }
 
  protected:
-  IntegrityStats integrity_;
+  NetStats stats_;
 };
 
 }  // namespace peerhood::net

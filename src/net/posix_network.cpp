@@ -47,6 +47,19 @@ sockaddr_in make_addr(const std::string& ip, std::uint16_t port) {
   return addr;
 }
 
+// Feeds everything the socket has buffered into `framer`. False once the
+// peer has closed its end (EOF).
+bool read_available(int fd, StreamFramer& framer) {
+  std::uint8_t buffer[kReadChunk];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n < 0) return true;
+    if (n == 0) return false;
+    framer.feed(
+        std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
+  }
+}
+
 std::uint16_t bound_port(int fd) {
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
@@ -406,18 +419,6 @@ void PosixNetwork::set_datagram_handler(MacAddress mac, Technology tech,
 }
 
 void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
-                                 Technology tech, Bytes payload) {
-  Bytes framed;
-  framed.reserve(kFrameHeaderSize + payload.size() + 1);
-  framed.resize(kFrameHeaderSize);
-  framed.push_back(kDatagramFrameTag);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  seal_frame(framed);
-  send_datagram(from, to, tech,
-                std::make_shared<const Bytes>(std::move(framed)));
-}
-
-void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
                                  Technology tech, FramePtr frame) {
   assert(frame != nullptr && frame->size() > kFrameHeaderSize &&
          (*frame)[kFrameHeaderSize] == kDatagramFrameTag);
@@ -442,7 +443,7 @@ void PosixNetwork::send_datagram(MacAddress from, MacAddress to,
   if (::sendmsg(udp_fd_, &msg, 0) < 0) {
     // Kernel buffer full (EAGAIN) or transient error: a dropped datagram —
     // exactly what the discovery plane's retransmits exist for.
-    ++send_queue_drops_;
+    ++stats_.send_queue_drops;
   }
 }
 
@@ -472,10 +473,10 @@ void PosixNetwork::on_udp_packet(std::span<const std::uint8_t> packet) {
   const MacAddress from = MacAddress::from_u64(mac64);
 
   const auto sealed = packet.subspan(kUdpHeader);
-  ++integrity_.frames_checked;
+  ++stats_.frames_checked;
   const auto body = check_frame(sealed);
   if (!body.has_value()) {
-    ++integrity_.corrupt_drops;
+    ++stats_.corrupt_drops;
     return;
   }
   if (body->empty() || (*body)[0] != kDatagramFrameTag) return;
@@ -641,7 +642,7 @@ void PosixNetwork::start_connect_attempt(std::uint64_t pending_id) {
     fail_connect(pending_id, "peer removed from topology");
     return;
   }
-  if (pending.attempt > 0) ++reconnect_attempts_;
+  if (pending.attempt > 0) ++stats_.reconnect_attempts;
   ++pending.attempt;
   pending.awaiting_ack = false;
   pending.framer = StreamFramer{};
@@ -662,20 +663,8 @@ void PosixNetwork::start_connect_attempt(std::uint64_t pending_id) {
   const int rc =
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
-    // Immediate refusal (rare on loopback): retry through the backoff path.
-    fd_pending_.erase(fd);
-    ::close(fd);
-    pending.fd = -1;
-    const SimDuration backoff = std::min(
-        config_.connect_backoff_cap,
-        config_.connect_backoff_base * (std::int64_t{1} << (pending.attempt - 1)));
-    if (pending.attempt >= config_.connect_attempts) {
-      fail_connect(pending_id, "connection refused");
-      return;
-    }
-    sim_.schedule_after(backoff, [this, pending_id] {
-      start_connect_attempt(pending_id);
-    });
+    // Immediate refusal (rare on loopback).
+    retry_connect(pending_id, "connection refused");
     return;
   }
   update_epoll(fd, EPOLLIN | EPOLLOUT);
@@ -685,23 +674,34 @@ void PosixNetwork::start_connect_attempt(std::uint64_t pending_id) {
                                         [this, pending_id] {
     const auto timed_out = pending_.find(pending_id);
     if (timed_out == pending_.end()) return;
-    PendingConnect& p = *timed_out->second;
-    p.timeout = sim::kInvalidEvent;
-    if (p.fd >= 0) {
-      fd_pending_.erase(p.fd);
-      ::close(p.fd);
-      p.fd = -1;
-    }
-    if (p.attempt >= config_.connect_attempts) {
-      fail_connect(pending_id, "connect timed out");
-      return;
-    }
-    const SimDuration backoff = std::min(
-        config_.connect_backoff_cap,
-        config_.connect_backoff_base * (std::int64_t{1} << (p.attempt - 1)));
-    sim_.schedule_after(backoff, [this, pending_id] {
-      start_connect_attempt(pending_id);
-    });
+    timed_out->second->timeout = sim::kInvalidEvent;
+    retry_connect(pending_id, "connect timed out");
+  });
+}
+
+void PosixNetwork::retry_connect(std::uint64_t pending_id,
+                                 const std::string& reason) {
+  const auto it = pending_.find(pending_id);
+  if (it == pending_.end()) return;
+  PendingConnect& pending = *it->second;
+  if (pending.fd >= 0) {
+    fd_pending_.erase(pending.fd);
+    ::close(pending.fd);
+    pending.fd = -1;
+  }
+  if (pending.timeout != sim::kInvalidEvent) {
+    sim_.cancel(pending.timeout);
+    pending.timeout = sim::kInvalidEvent;
+  }
+  if (pending.attempt >= config_.connect_attempts) {
+    fail_connect(pending_id, reason);
+    return;
+  }
+  const SimDuration backoff = std::min(
+      config_.connect_backoff_cap,
+      config_.connect_backoff_base * (std::int64_t{1} << (pending.attempt - 1)));
+  sim_.schedule_after(backoff, [this, pending_id] {
+    start_connect_attempt(pending_id);
   });
 }
 
@@ -731,24 +731,8 @@ void PosixNetwork::handle_pending_connect(int fd, std::uint32_t events) {
   PendingConnect& pending = *it->second;
 
   if ((events & (EPOLLERR | EPOLLHUP)) != 0 && !pending.awaiting_ack) {
-    // TCP connect failed (no listener / RST). Retry with backoff.
-    fd_pending_.erase(fd);
-    ::close(fd);
-    pending.fd = -1;
-    if (pending.timeout != sim::kInvalidEvent) {
-      sim_.cancel(pending.timeout);
-      pending.timeout = sim::kInvalidEvent;
-    }
-    if (pending.attempt >= config_.connect_attempts) {
-      fail_connect(pending_id, "connection refused");
-      return;
-    }
-    const SimDuration backoff = std::min(
-        config_.connect_backoff_cap,
-        config_.connect_backoff_base * (std::int64_t{1} << (pending.attempt - 1)));
-    sim_.schedule_after(backoff, [this, pending_id] {
-      start_connect_attempt(pending_id);
-    });
+    // TCP connect failed (no listener / RST).
+    retry_connect(pending_id, "connection refused");
     return;
   }
 
@@ -758,24 +742,7 @@ void PosixNetwork::handle_pending_connect(int fd, std::uint32_t events) {
       socklen_t len = sizeof(err);
       ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
       if (err != 0) {
-        fd_pending_.erase(fd);
-        ::close(fd);
-        pending.fd = -1;
-        if (pending.timeout != sim::kInvalidEvent) {
-          sim_.cancel(pending.timeout);
-          pending.timeout = sim::kInvalidEvent;
-        }
-        if (pending.attempt >= config_.connect_attempts) {
-          fail_connect(pending_id, "connection refused");
-          return;
-        }
-        const SimDuration backoff =
-            std::min(config_.connect_backoff_cap,
-                     config_.connect_backoff_base *
-                         (std::int64_t{1} << (pending.attempt - 1)));
-        sim_.schedule_after(backoff, [this, pending_id] {
-          start_connect_attempt(pending_id);
-        });
+        retry_connect(pending_id, "connection refused");
         return;
       }
       // TCP established: send the logical hello
@@ -804,32 +771,19 @@ void PosixNetwork::handle_pending_connect(int fd, std::uint32_t events) {
   }
 
   if ((events & EPOLLIN) != 0 && pending.awaiting_ack) {
-    std::uint8_t buffer[kReadChunk];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-      if (n < 0) break;
-      if (n == 0) {
-        // Peer closed before answering: treat as refusal.
-        fd_pending_.erase(fd);
-        ::close(fd);
-        pending.fd = -1;
-        fail_connect(pending_id, "peer closed during handshake");
-        return;
-      }
-      pending.framer.feed(
-          std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
+    if (!read_available(fd, pending.framer)) {
+      // Peer closed before answering: a refusal, not worth a retry.
+      fail_connect(pending_id, "peer closed during handshake");
+      return;
     }
     if (auto ack = pending.framer.next()) {
-      ++integrity_.frames_checked;
+      ++stats_.frames_checked;
       finish_connect_handshake(pending_id, *ack);
       return;
     }
     // next() latches the poison bit — check it after the decode attempt.
     if (pending.framer.poisoned()) {
-      ++integrity_.corrupt_drops;
-      fd_pending_.erase(fd);
-      ::close(fd);
-      pending.fd = -1;
+      ++stats_.corrupt_drops;
       fail_connect(pending_id, "corrupt handshake stream");
       return;
     }
@@ -900,26 +854,19 @@ void PosixNetwork::handle_incoming(int fd, std::uint32_t events) {
     incoming_.erase(it);
     return;
   }
-  std::uint8_t buffer[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0) break;
-    if (n == 0) {
-      ::close(fd);
-      incoming_.erase(it);
-      return;
-    }
-    stream.framer.feed(
-        std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
+  if (!read_available(fd, stream.framer)) {
+    ::close(fd);
+    incoming_.erase(it);
+    return;
   }
   if (const auto hello = stream.framer.next()) {
-    ++integrity_.frames_checked;
+    ++stats_.frames_checked;
     accept_hello(fd, *hello);
     return;
   }
   // next() latches the poison bit — check it after the decode attempt.
   if (stream.framer.poisoned()) {
-    ++integrity_.corrupt_drops;
+    ++stats_.corrupt_drops;
     ::close(fd);
     incoming_.erase(it);
     return;
@@ -999,14 +946,14 @@ void PosixNetwork::conn_write(ConnState& conn,
     if (conn.outbox.size() == 1 && conn.front_sent > 0) {
       // Never drop a partially written frame — the stream would desync.
       conn.outbox.push_back(std::move(encoded));
-      ++send_queue_drops_;
+      ++stats_.send_queue_drops;
       drain_conn_outbox(conn);
       return;
     }
     const std::size_t victim = conn.front_sent > 0 ? 1 : 0;
     conn.outbox.erase(conn.outbox.begin() +
                       static_cast<std::ptrdiff_t>(victim));
-    ++send_queue_drops_;
+    ++stats_.send_queue_drops;
   }
   conn.outbox.push_back(std::move(encoded));
   drain_conn_outbox(conn);
@@ -1046,18 +993,7 @@ void PosixNetwork::handle_conn_event(int fd, std::uint32_t events) {
   }
   if ((events & EPOLLOUT) != 0) drain_conn_outbox(*conn);
 
-  bool peer_closed = false;
-  std::uint8_t buffer[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0) break;
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    conn->framer.feed(
-        std::span<const std::uint8_t>{buffer, static_cast<std::size_t>(n)});
-  }
+  const bool peer_closed = !read_available(fd, conn->framer);
   // Drain every complete frame. The endpoint may close/die inside a data
   // handler — re-check liveness each round.
   while (conns_.contains(conn_id) && conn->open) {
@@ -1066,13 +1002,13 @@ void PosixNetwork::handle_conn_event(int fd, std::uint32_t events) {
       if (conn->framer.poisoned()) {
         // Mid-stream corruption: unlike a datagram there is no next-frame
         // boundary to resync on — count it and kill the connection.
-        ++integrity_.corrupt_drops;
+        ++stats_.corrupt_drops;
         close_conn(conn_id, /*notify_app=*/true);
         return;
       }
       break;
     }
-    ++integrity_.frames_checked;
+    ++stats_.frames_checked;
     if (frame->empty() || (*frame)[0] != kStreamData) continue;
     const auto endpoint = conn->endpoint.lock();
     if (endpoint == nullptr) break;
@@ -1103,15 +1039,6 @@ void PosixNetwork::close_conn(std::uint64_t conn_id, bool notify_app) {
 
 std::size_t PosixNetwork::live_connection_count() const {
   return conns_.size();
-}
-
-NetStats PosixNetwork::net_stats() const {
-  NetStats stats;
-  stats.frames_checked = integrity_.frames_checked;
-  stats.corrupt_drops = integrity_.corrupt_drops;
-  stats.send_queue_drops = send_queue_drops_;
-  stats.reconnect_attempts = reconnect_attempts_;
-  return stats;
 }
 
 }  // namespace peerhood::net

@@ -109,8 +109,7 @@ class PosixNetwork final : public Network {
 
   void set_datagram_handler(MacAddress mac, Technology tech,
                             DatagramHandler handler) override;
-  void send_datagram(MacAddress from, MacAddress to, Technology tech,
-                     Bytes payload) override;
+  using Network::send_datagram;
   void send_datagram(MacAddress from, MacAddress to, Technology tech,
                      FramePtr frame) override;
 
@@ -141,7 +140,6 @@ class PosixNetwork final : public Network {
 
   [[nodiscard]] sim::Simulator& simulator() override { return sim_; }
   [[nodiscard]] std::size_t live_connection_count() const override;
-  [[nodiscard]] NetStats net_stats() const override;
 
  private:
   friend class PosixConnection;
@@ -164,6 +162,9 @@ class PosixNetwork final : public Network {
   void on_udp_packet(std::span<const std::uint8_t> packet);
   void on_beacon(std::span<const std::uint8_t> packet);
   void start_connect_attempt(std::uint64_t pending_id);
+  // Closes the attempt's socket and cancels its deadline, then fails the
+  // connect if its attempts are spent or retries it after capped backoff.
+  void retry_connect(std::uint64_t pending_id, const std::string& reason);
   void fail_connect(std::uint64_t pending_id, const std::string& reason);
   void finish_connect_handshake(std::uint64_t pending_id,
                                 std::span<const std::uint8_t> ack_body);
@@ -207,8 +208,6 @@ class PosixNetwork final : public Network {
   SimDuration keepalive_period_{std::chrono::milliseconds{500}};
   std::uint64_t next_pending_id_{1};
   std::uint64_t next_conn_seq_{1};
-  std::uint64_t send_queue_drops_{0};
-  std::uint64_t reconnect_attempts_{0};
   bool destroying_{false};
 };
 

@@ -232,17 +232,6 @@ void SimNetwork::set_datagram_handler(MacAddress mac, Technology tech,
 }
 
 void SimNetwork::send_datagram(MacAddress from, MacAddress to, Technology tech,
-                               Bytes payload) {
-  Bytes frame;
-  frame.reserve(kFrameHeaderSize + payload.size() + 1);
-  frame.resize(kFrameHeaderSize);
-  frame.push_back(kFrameDatagram);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  seal_frame(frame);
-  medium_.send_frame(from, to, tech, std::move(frame));
-}
-
-void SimNetwork::send_datagram(MacAddress from, MacAddress to, Technology tech,
                                sim::RadioMedium::FramePtr frame) {
   // The sender baked the sealed integrity header + datagram tag in.
   assert(frame != nullptr && frame->size() > kFrameHeaderSize &&
@@ -350,7 +339,7 @@ void SimNetwork::finish_connect(MacAddress from_mac, NetAddress to,
   // connections merely stall under a blackout (their frames drop at the
   // medium and retransmission recovers after it lifts), but a new one
   // cannot form across radio silence.
-  if (medium_.link_blacked_out(from_mac, to.mac, to.tech)) {
+  if (medium_.link_blacked_out(from_mac, to.mac)) {
     handler(Error{ErrorCode::kConnectionFailed, "link blacked out"});
     return;
   }
@@ -387,12 +376,12 @@ void SimNetwork::finish_connect(MacAddress from_mac, NetAddress to,
 
 void SimNetwork::handle_frame(MacAddress local, Technology tech,
                               MacAddress from, const Bytes& frame) {
-  ++integrity_.frames_checked;
+  ++stats_.frames_checked;
   const auto body = check_frame(frame);
   if (!body.has_value()) {
     // Truncated or bit-corrupted on the air (sim/fault.hpp): count and drop
     // before any decoder sees the bytes.
-    ++integrity_.corrupt_drops;
+    ++stats_.corrupt_drops;
     return;
   }
   if (body->empty()) return;

@@ -43,8 +43,7 @@ class SimNetwork final : public Network {
   // --- Datagrams (used by the discovery plane) ------------------------------
   void set_datagram_handler(MacAddress mac, Technology tech,
                             DatagramHandler handler) override;
-  void send_datagram(MacAddress from, MacAddress to, Technology tech,
-                     Bytes payload) override;
+  using Network::send_datagram;
   void send_datagram(MacAddress from, MacAddress to, Technology tech,
                      FramePtr frame) override;
 

@@ -56,10 +56,6 @@ void Engine::remove_service_handler(const std::string& service_name) {
   service_handlers_.erase(service_name);
 }
 
-bool Engine::has_service_handler(const std::string& name) const {
-  return service_handlers_.contains(name);
-}
-
 void Engine::set_bridge_handler(BridgeHandler handler) {
   bridge_slot_.set(std::move(handler));
 }

@@ -50,7 +50,6 @@ class Engine {
 
   void set_service_handler(std::string service_name, ServiceHandler handler);
   void remove_service_handler(const std::string& service_name);
-  [[nodiscard]] bool has_service_handler(const std::string& name) const;
 
   void set_bridge_handler(BridgeHandler handler);
 

@@ -60,13 +60,9 @@ class Plugin {
 
   [[nodiscard]] Technology technology() const { return tech_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] bool cycle_active() const { return cycle_active_; }
 
   // Routed here by the daemon's datagram dispatcher.
   void on_fetch_response(MacAddress from, const wire::FetchResponse& response);
-
-  // Triggers one inquiry cycle immediately (tests/benches).
-  void trigger_cycle();
 
   // Crash support: drops every conditional-fetch baseline (they are volatile
   // requester state; a restarted daemon starts from full fetches).

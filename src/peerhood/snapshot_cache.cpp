@@ -5,14 +5,6 @@
 
 namespace peerhood {
 
-void SnapshotCache::set_caching(bool enabled) {
-  caching_ = enabled;
-  if (!enabled) {
-    for (CachedFull& slot : full_) slot.frame.reset();
-    not_modified_.reset();
-  }
-}
-
 bool SnapshotCache::sections_equal(std::uint8_t sections,
                                    const wire::SectionGens& a,
                                    const wire::SectionGens& b) {
@@ -78,7 +70,7 @@ SnapshotCache::FramePtr SnapshotCache::respond(
     }
     if (changed == 0) {
       ++stats_.not_modified;
-      if (caching_ && not_modified_ != nullptr &&
+      if (not_modified_ != nullptr &&
           not_modified_load_ == src.load_percent) {
         return not_modified_;
       }
@@ -86,12 +78,9 @@ SnapshotCache::FramePtr SnapshotCache::respond(
       response.not_modified = true;
       response.request_id = wire::kSharedRequestId;
       response.load_percent = src.load_percent;
-      FramePtr frame = encode_frame(response);
-      if (caching_) {
-        not_modified_ = frame;
-        not_modified_load_ = src.load_percent;
-      }
-      return frame;
+      not_modified_ = encode_frame(response);
+      not_modified_load_ = src.load_percent;
+      return not_modified_;
     }
     // Deltas are requester-specific (they depend on the baseline), so they
     // are encoded afresh and can echo the real request id.
@@ -104,21 +93,18 @@ SnapshotCache::FramePtr SnapshotCache::respond(
   // Full response: no baseline, or the responder restarted since the
   // requester last looked (epoch mismatch — generations are incomparable).
   CachedFull& slot = full_[sections];
-  if (caching_ && slot.frame != nullptr && slot.epoch == src.epoch &&
+  if (slot.frame != nullptr && slot.epoch == src.epoch &&
       slot.load_percent == src.load_percent &&
       sections_equal(sections, slot.gens, src.gens)) {
     ++stats_.full_hits;
     return slot.frame;
   }
   ++stats_.full_encodes;
-  FramePtr frame = encode_frame(build_response(sections, src));
-  if (caching_) {
-    slot.frame = frame;
-    slot.gens = src.gens;
-    slot.epoch = src.epoch;
-    slot.load_percent = src.load_percent;
-  }
-  return frame;
+  slot.frame = encode_frame(build_response(sections, src));
+  slot.gens = src.gens;
+  slot.epoch = src.epoch;
+  slot.load_percent = src.load_percent;
+  return slot.frame;
 }
 
 }  // namespace peerhood

@@ -64,12 +64,6 @@ class SnapshotCache {
                              std::nullopt)
       : prefix_{frame_prefix} {}
 
-  // When disabled the cache encodes every reply afresh (the pre-cache
-  // behaviour, kept for the ablation bench); conditional requests are still
-  // answered with kNotModified / deltas.
-  void set_caching(bool enabled);
-  [[nodiscard]] bool caching() const { return caching_; }
-
   // Produces the encoded reply frame for `request` against `src`: a shared
   // cached full response, a shared cached kNotModified, or a fresh delta.
   // Never returns nullptr.
@@ -98,7 +92,6 @@ class SnapshotCache {
       const;
 
   std::optional<std::uint8_t> prefix_;
-  bool caching_{true};
   // One cached full response per requested-sections bitmask (0..15).
   std::array<CachedFull, 16> full_{};
   FramePtr not_modified_;

@@ -175,16 +175,6 @@ std::uint64_t ScenarioMetrics::total_handovers() const {
   return n;
 }
 
-double ScenarioMetrics::mean_handover_latency_s() const {
-  double sum = 0.0;
-  std::uint64_t count = 0;
-  for (const SessionMetrics& s : sessions) {
-    sum += s.handover_latency_sum_s;
-    count += s.handover_latency_count;
-  }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
-}
-
 std::uint64_t ScenarioMetrics::control_frames() const {
   const std::uint64_t delivered = total_received();
   return medium_frames > delivered ? medium_frames - delivered : 0;
@@ -284,6 +274,34 @@ Status ScenarioRunner::setup() {
             });
         if (!status.ok()) return status;
       }
+    }
+  }
+
+  // A fault or crash target that names no node would silently change what
+  // the schedule means (a partition side that resolves to nothing turns
+  // into a whole-network blackout), so reject it before anything runs.
+  const auto names_no_node = [this](const std::vector<std::string>& prefixes) {
+    return resolve_prefixes(prefixes).empty();
+  };
+  for (const FaultScheduleSpec::Partition& cut : spec_.faults.partitions) {
+    if (cut.side_a.empty() && !cut.side_b.empty()) {
+      return Status{ErrorCode::kInvalidArgument,
+                    "partition has side_b but no side_a"};
+    }
+    if ((!cut.side_a.empty() && names_no_node(cut.side_a)) ||
+        (!cut.side_b.empty() && names_no_node(cut.side_b))) {
+      return Status{ErrorCode::kInvalidArgument,
+                    "partition side names no node"};
+    }
+  }
+  for (const CrashScheduleSpec::Crash& crash : spec_.crashes.crashes) {
+    if (names_no_node(crash.targets)) {
+      return Status{ErrorCode::kInvalidArgument, "crash names no node"};
+    }
+  }
+  for (const CrashScheduleSpec::Churn& churn : spec_.crashes.churns) {
+    if (names_no_node(churn.targets)) {
+      return Status{ErrorCode::kInvalidArgument, "churn names no node"};
     }
   }
 
@@ -692,9 +710,8 @@ void ScenarioRunner::run() {
   for (node::Node* node : testbed_->nodes()) {
     metrics_.restart_resumes += node->daemon().engine().stats().restart_resumes;
   }
-  metrics_.corrupt_frames_dropped =
-      testbed_->network().integrity_stats().corrupt_drops;
   metrics_.net_stats = testbed_->network().net_stats();
+  metrics_.corrupt_frames_dropped = metrics_.net_stats.corrupt_drops;
 }
 
 // --- Canned scenarios --------------------------------------------------------

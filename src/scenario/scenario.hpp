@@ -118,10 +118,11 @@ struct FaultScheduleSpec {
     sim::FaultProfile profile{};
   };
   // Node sets are name prefixes ("anchor" covers anchor0, anchor1, ...),
-  // resolved against the testbed at install time. Empty side_a = every node.
-  // Empty side_b = the side_a set goes silent; otherwise only links between
-  // the two sides are cut (a network partition). Times are relative to the
-  // start of the scenario body.
+  // resolved against the testbed at install time. Both sides empty = every
+  // link goes silent. Empty side_b = the side_a set goes silent; otherwise
+  // only links between the two sides are cut (a network partition). setup()
+  // rejects a side_b without a side_a, and a non-empty side that names no
+  // node. Times are relative to the start of the scenario body.
   struct Partition {
     std::vector<std::string> side_a;
     std::vector<std::string> side_b;
@@ -145,7 +146,9 @@ struct FaultScheduleSpec {
 // of the scenario body.
 struct CrashScheduleSpec {
   struct Crash {
-    std::vector<std::string> targets;  // name prefixes, like Partition sides
+    // Name prefixes, like Partition sides; setup() rejects targets that
+    // name no node (here and in Churn).
+    std::vector<std::string> targets;
     double at_s{0.0};
     double downtime_s{10.0};
   };
@@ -230,11 +233,12 @@ struct ScenarioMetrics {
   // from the crash plane. Part of the determinism contract: the same (seed,
   // fault schedule, crash schedule) must reproduce these exactly.
   sim::FaultStats fault_stats{};
+  // Always equal to net_stats.corrupt_drops (the whole run, set-up
+  // included). The field stays only while the benchmark sources
+  // (perfbench/) still read it, as with ScenarioSpec::shards.
   std::uint64_t corrupt_frames_dropped{0};
   // Backend-agnostic transport counters (net::Network::net_stats()) over the
-  // whole run. corrupt_frames_dropped above stays the body-scoped figure the
-  // bench tables print; this is the raw backend total, comparable with what
-  // a real-socket daemon logs on shutdown.
+  // whole run, comparable with what a real-socket daemon logs on shutdown.
   net::NetStats net_stats{};
   // kResumeRestart handshakes honoured from a SessionStore journal, summed
   // over every node's engine — the crash plane's recovery counter.
@@ -245,7 +249,6 @@ struct ScenarioMetrics {
   [[nodiscard]] std::uint64_t frames_lost() const;
   [[nodiscard]] double total_outage_s() const;
   [[nodiscard]] std::uint64_t total_handovers() const;
-  [[nodiscard]] double mean_handover_latency_s() const;
   // Non-payload medium frames: everything the stack sent beyond the
   // application's delivered messages (discovery, acks, repairs) — the
   // control-overhead figure of the bench matrix.

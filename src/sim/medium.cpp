@@ -108,10 +108,6 @@ void RadioMedium::unregister_endpoint(MacAddress mac, Technology tech) {
   ts.grid.remove(mac.as_u64());
 }
 
-bool RadioMedium::has_endpoint(MacAddress mac, Technology tech) const {
-  return endpoints_.contains(key(mac, tech));
-}
-
 const RadioMedium::Endpoint* RadioMedium::find(MacAddress mac,
                                                Technology tech) const {
   const auto it = endpoints_.find(key(mac, tech));
@@ -525,15 +521,11 @@ std::vector<MacAddress> RadioMedium::discoverable_in_range(
   // otherwise discovery would keep "seeing" devices no frame can reach.
   const bool blackout =
       faults_ != nullptr && faults_->blackout_possible(sim_.now());
-  const Vec2 origin_pos = blackout ? cached_position(*origin) : Vec2{};
   for (const Endpoint* e : hits) {
     if (!e->discoverable) continue;
     // Bluetooth asymmetry: a device busy inquiring does not answer inquiries.
     if (asymmetric && e->inquiring) continue;
-    if (blackout && faults_->blacked_out(mac, e->mac, sim_.now(), origin_pos,
-                                         cached_position(*e))) {
-      continue;
-    }
+    if (blackout && faults_->blacked_out(mac, e->mac, sim_.now())) continue;
     out.push_back(e->mac);
   }
   return out;
@@ -546,16 +538,9 @@ LinkFaultModel& RadioMedium::fault_plane() {
   return *faults_;
 }
 
-bool RadioMedium::link_blacked_out(MacAddress a, MacAddress b,
-                                   Technology tech) const {
-  if (faults_ == nullptr || !faults_->blackout_possible(sim_.now())) {
-    return false;
-  }
-  const Endpoint* ea = find(a, tech);
-  const Endpoint* eb = find(b, tech);
-  if (ea == nullptr || eb == nullptr) return false;
-  return faults_->blacked_out(a, b, sim_.now(), cached_position(*ea),
-                              cached_position(*eb));
+bool RadioMedium::link_blacked_out(MacAddress a, MacAddress b) const {
+  return faults_ != nullptr && faults_->blackout_possible(sim_.now()) &&
+         faults_->blacked_out(a, b, sim_.now());
 }
 
 void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
@@ -582,8 +567,7 @@ void RadioMedium::send_frame(MacAddress from, MacAddress to, Technology tech,
     const double degradation = std::clamp(
         (static_cast<double>(quality_model_.q_max) - link.base) / span, 0.0,
         1.0);
-    fault = faults_->judge(from, to, tech, degradation, sim_.now(),
-                           cached_position(*from_e), cached_position(*to_e));
+    fault = faults_->judge(from, to, tech, degradation, sim_.now());
     if (fault.drop) {
       ++stats_.drops;
       return;

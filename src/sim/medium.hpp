@@ -135,7 +135,6 @@ class RadioMedium {
                          std::shared_ptr<const MobilityModel> mobility,
                          FrameHandler handler);
   void unregister_endpoint(MacAddress mac, Technology tech);
-  [[nodiscard]] bool has_endpoint(MacAddress mac, Technology tech) const;
 
   void set_discoverable(MacAddress mac, Technology tech, bool discoverable);
   void set_inquiring(MacAddress mac, Technology tech, bool inquiring);
@@ -228,8 +227,7 @@ class RadioMedium {
   // True while an active blackout window silences the (a, b) link. The
   // connection-establishment path and the inquiry plane honour partitions
   // too, not just in-flight data frames.
-  [[nodiscard]] bool link_blacked_out(MacAddress a, MacAddress b,
-                                      Technology tech) const;
+  [[nodiscard]] bool link_blacked_out(MacAddress a, MacAddress b) const;
 
   // Evicts `last_delivery_` entries whose delivery time has already passed —
   // they can no longer influence in-order bumping, since every new delivery

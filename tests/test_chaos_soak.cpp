@@ -104,6 +104,8 @@ TEST(ChaosSoak, CorridorSurvivesFaultMatrixAcrossSeeds) {
     // Corrupted frames were caught by the transport's frame check, not
     // delivered as garbage.
     EXPECT_GT(outcome.metrics.corrupt_frames_dropped, 0u);
+    EXPECT_EQ(outcome.metrics.corrupt_frames_dropped,
+              outcome.metrics.net_stats.corrupt_drops);
     // Recovery: at most ~kCutEnd messages can have arrived before the
     // partition healed (1 msg/s), so clearing this floor means the session
     // delivered traffic *after* the faults' worst window.
@@ -123,6 +125,8 @@ TEST(ChaosSoak, ChurnSurvivesFaultMatrixAcrossSeeds) {
     ASSERT_EQ(outcome.metrics.sessions.size(), 2u);
     check_fault_matrix_fired(outcome.metrics.fault_stats);
     EXPECT_GT(outcome.metrics.corrupt_frames_dropped, 0u);
+    EXPECT_EQ(outcome.metrics.corrupt_frames_dropped,
+              outcome.metrics.net_stats.corrupt_drops);
     for (const SessionMetrics& session : outcome.metrics.sessions) {
       EXPECT_TRUE(session.connected);
     }

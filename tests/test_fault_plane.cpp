@@ -216,8 +216,8 @@ TEST_F(FaultPlaneTest, PartitionCutsOnlyCrossLinks) {
   ASSERT_EQ(received_.size(), 2u);
   EXPECT_EQ(medium_.fault_plane().stats().blackout_drops, 1u);
   // Discovery is silenced across the cut too.
-  EXPECT_TRUE(medium_.link_blacked_out(a, c, Technology::kBluetooth));
-  EXPECT_FALSE(medium_.link_blacked_out(a, b, Technology::kBluetooth));
+  EXPECT_TRUE(medium_.link_blacked_out(a, c));
+  EXPECT_FALSE(medium_.link_blacked_out(a, b));
 }
 
 TEST_F(FaultPlaneTest, BlackoutDoesNotAdvanceBurstState) {
@@ -310,8 +310,8 @@ TEST(FaultPlaneNetwork, CorruptFramesAreCountedAndDropped) {
   // Every frame was bit-flipped in flight; the length+checksum header must
   // reject all of them before any decoder runs.
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(network.integrity_stats().frames_checked, 20u);
-  EXPECT_EQ(network.integrity_stats().corrupt_drops, 20u);
+  EXPECT_EQ(network.net_stats().frames_checked, 20u);
+  EXPECT_EQ(network.net_stats().corrupt_drops, 20u);
   EXPECT_EQ(medium.fault_plane().stats().corrupted, 20u);
 }
 

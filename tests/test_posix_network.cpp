@@ -86,8 +86,8 @@ TEST_F(PosixNetworkTest, DatagramRoundtrip) {
   ASSERT_TRUE(pump_until(*a_, *b_, [&] { return received.has_value(); }));
   EXPECT_EQ(*received, payload);
   EXPECT_EQ(from, a_->mac());
-  EXPECT_GE(b_->integrity_stats().frames_checked, 1u);
-  EXPECT_EQ(b_->integrity_stats().corrupt_drops, 0u);
+  EXPECT_GE(b_->net_stats().frames_checked, 1u);
+  EXPECT_EQ(b_->net_stats().corrupt_drops, 0u);
 }
 
 TEST_F(PosixNetworkTest, ConnectAcceptDataBothWaysAndClose) {
@@ -187,6 +187,98 @@ TEST_F(PosixNetworkTest, ConnectToDeadProcessRetriesThenFails) {
   EXPECT_GE(a_->net_stats().reconnect_attempts, 1u);
 }
 
+// A raw loopback TCP listener on a kernel-assigned port. The kernel
+// completes the TCP handshake on its own, so a PeerHood connect gets as far
+// as sending its hello and then waits on whatever the test does (or not).
+struct RawListener {
+  RawListener() {
+    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd, 8) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      return;
+    }
+    port = ntohs(addr.sin_port);
+  }
+  ~RawListener() {
+    if (fd >= 0) ::close(fd);
+  }
+  RawListener(const RawListener&) = delete;
+  RawListener& operator=(const RawListener&) = delete;
+
+  int fd{-1};
+  std::uint16_t port{0};
+};
+
+TEST_F(PosixNetworkTest, UnansweredHelloTimesOutAfterEveryAttempt) {
+  // The listener never accepts, so no hello ack ever comes: every attempt
+  // runs into its deadline, retries are counted, and the handler fires once
+  // with the timeout reason.
+  RawListener silent;
+  ASSERT_NE(silent.port, 0);
+  PosixConfig config = fast_config(3);
+  config.connect_timeout = milliseconds(30);
+  config.connect_attempts = 3;
+  PosixNetwork a{config};
+  a.attach_interface(a.mac(), kBluetooth, nullptr);
+  const MacAddress mute = MacAddress::from_index(9);
+  a.add_peer({mute, "127.0.0.1", silent.port, silent.port});
+
+  int failures = 0;
+  std::optional<Error> error;
+  a.connect(a.mac(), NetAddress{mute, kBluetooth, 1},
+            [&](Result<ConnectionPtr> result) {
+              ++failures;
+              if (!result.ok()) error = result.error();
+            });
+  ASSERT_TRUE(pump_until(a, *b_, [&] { return failures > 0; }));
+  EXPECT_EQ(failures, 1);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, ErrorCode::kConnectionFailed);
+  EXPECT_EQ(error->message, "connect timed out");
+  EXPECT_EQ(a.net_stats().reconnect_attempts,
+            static_cast<std::uint64_t>(config.connect_attempts - 1));
+  // Nothing fires after the failure.
+  ASSERT_FALSE(pump_until(a, *b_, [&] { return failures > 1; }, 100));
+}
+
+TEST_F(PosixNetworkTest, PeerClosingDuringHandshakeFailsWithoutRetry) {
+  // The listener accepts, reads the hello and closes: the connect fails at
+  // once, with no retry.
+  RawListener closer;
+  ASSERT_NE(closer.port, 0);
+  const MacAddress rude = MacAddress::from_index(9);
+  a_->add_peer({rude, "127.0.0.1", closer.port, closer.port});
+
+  int failures = 0;
+  std::optional<Error> error;
+  a_->connect(a_->mac(), NetAddress{rude, kBluetooth, 1},
+              [&](Result<ConnectionPtr> result) {
+                ++failures;
+                if (!result.ok()) error = result.error();
+              });
+  int accepted = -1;
+  ASSERT_TRUE(pump_until(*a_, *b_, [&] {
+    if (accepted < 0) accepted = ::accept(closer.fd, nullptr, nullptr);
+    if (accepted < 0) return false;
+    // Read the hello first so the close is a clean FIN, not a reset.
+    std::uint8_t buffer[256];
+    return ::recv(accepted, buffer, sizeof(buffer), MSG_DONTWAIT) > 0;
+  }));
+  ::close(accepted);
+  ASSERT_TRUE(pump_until(*a_, *b_, [&] { return failures > 0; }));
+  EXPECT_EQ(failures, 1);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, ErrorCode::kConnectionFailed);
+  EXPECT_EQ(error->message, "peer closed during handshake");
+  EXPECT_EQ(a_->net_stats().reconnect_attempts, 0u);
+}
+
 TEST_F(PosixNetworkTest, DoubleBindIsAddressInUse) {
   const NetAddress addr{b_->mac(), kBluetooth, 5};
   ASSERT_TRUE(b_->listen(addr, [](ConnectionPtr) {}).ok());
@@ -270,8 +362,8 @@ TEST_F(PosixNetworkTest, BoundedSendQueueDropsOldest) {
   });
   ASSERT_TRUE(pump_until(*a, *b_, [&] { return delivered >= 4; }));
   EXPECT_FALSE(bad_frame);
-  EXPECT_EQ(a->integrity_stats().corrupt_drops, 0u);
-  EXPECT_EQ(b_->integrity_stats().corrupt_drops, 0u);
+  EXPECT_EQ(a->net_stats().corrupt_drops, 0u);
+  EXPECT_EQ(b_->net_stats().corrupt_drops, 0u);
 }
 
 TEST_F(PosixNetworkTest, GarbageOnTcpSocketPoisonsNotCrashes) {

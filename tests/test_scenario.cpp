@@ -131,5 +131,40 @@ TEST(ScenarioRunner, ShardCountOtherThanOneFailsSetup) {
   }
 }
 
+void expect_setup_rejected(ScenarioSpec spec) {
+  ScenarioRunner runner{std::move(spec)};
+  const Status status = runner.setup();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(ScenarioRunner, PartitionSideNamingNoNodeFailsSetup) {
+  // A mistyped side_a alone would otherwise silence the whole network; a
+  // mistyped side_b would turn the partition into a node-set blackout.
+  ScenarioSpec spec = corridor_walk(1, true);
+  spec.faults.partitions.push_back({{"walkr"}, {}, 1.0, 5.0});
+  expect_setup_rejected(spec);
+  spec.faults.partitions.back() = {{"walker"}, {"servr"}, 1.0, 5.0};
+  expect_setup_rejected(spec);
+}
+
+TEST(ScenarioRunner, PartitionWithOnlySideBFailsSetup) {
+  ScenarioSpec spec = corridor_walk(1, true);
+  spec.faults.partitions.push_back({{}, {"server"}, 1.0, 5.0});
+  expect_setup_rejected(std::move(spec));
+}
+
+TEST(ScenarioRunner, CrashNamingNoNodeFailsSetup) {
+  ScenarioSpec spec = corridor_walk(1, true);
+  spec.crashes.crashes.push_back({{"servr"}, 1.0, 5.0});
+  expect_setup_rejected(std::move(spec));
+}
+
+TEST(ScenarioRunner, ChurnNamingNoNodeFailsSetup) {
+  ScenarioSpec spec = corridor_walk(1, true);
+  spec.crashes.churns.push_back({{"relay"}, 30.0, 5.0, 0.0, 0.0});
+  expect_setup_rejected(std::move(spec));
+}
+
 }  // namespace
 }  // namespace peerhood::scenario
