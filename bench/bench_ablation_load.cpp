@@ -27,7 +27,7 @@ LoadResult run_trial(std::uint64_t seed, bool derating) {
 
   node::NodeOptions bridge_options = scenario_node(MobilityClass::kStatic);
   bridge_options.daemon.load_derating = derating;
-  bridge_options.daemon.max_bridge_connections = 4;
+  bridge_options.bridge.max_connections = 4;
 
   node::NodeOptions client_options = scenario_node(MobilityClass::kDynamic);
   client_options.daemon.load_derating = derating;

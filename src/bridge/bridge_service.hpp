@@ -29,7 +29,6 @@ struct BridgeConfig {
   // §4.3: "the connection attempt repetition in the Bridge service design
   // would be necessary to guarantee a satisfactory connection".
   int connect_retries{1};
-  SimDuration downstream_timeout{std::chrono::seconds{45}};
 };
 
 class BridgeService {

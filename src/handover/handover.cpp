@@ -9,6 +9,36 @@
 namespace peerhood::handover {
 
 namespace {
+
+// --- Reactive (paper) parameters ---------------------------------------------
+// Fig. 5.5: sample link quality once per monitor period and repair after
+// more than kLowCountLimit consecutive samples under the threshold, which is
+// the same 230 the discovery plane requires of every route link (Fig. 3.9).
+constexpr int kQualityThreshold = sim::LinkQualityModel::kDefaultThreshold;
+constexpr int kLowCountLimit = 3;
+constexpr SimDuration kMonitorPeriod = std::chrono::seconds{1};
+// Plan scoring: quality units subtracted per §3.4.3 mobility-cost unit of
+// the bridge ({static,hybrid,dynamic} = {0,1,3}). A mobile bridge whose
+// own link is about to die with ours (e.g. a fellow group member walking
+// the same corridor) must lose to a weaker but static relay even when its
+// advertised neighbour qualities are a full inquiry cycle stale — hence a
+// penalty larger than the stale-quality spread (~60 units for dynamic).
+constexpr int kBridgeMobilityPenalty = 20;
+// Deadline of one session resume, via a bridge or directly with the peer.
+constexpr SimDuration kResumeTimeout = std::chrono::seconds{30};
+
+// --- Predictive make-before-break layer --------------------------------------
+// The observer arms the predictor this many quality units *above* the
+// reactive threshold: early warning, so a slow bridge chain can still be
+// pre-dialed before the link reaches the edge. The observer's hysteresis
+// band and rate limit are the medium's defaults (sim::QualityObserverConfig).
+constexpr int kPredictHeadroom = 10;
+constexpr int kArmThreshold = kQualityThreshold + kPredictHeadroom;
+// Cadence of the armed predictor between crossing events.
+constexpr SimDuration kPredictPollPeriod = std::chrono::milliseconds{250};
+// Pre-dial when predicted time-to-loss < setup estimate × margin.
+constexpr double kSetupMargin = 1.3;
+
 // Score penalty per failed resume attempt through a bridge within the
 // current repair episode — larger than any achievable link score, so one
 // failure sorts the bridge behind every untried candidate (a crashed relay
@@ -27,8 +57,8 @@ void HandoverController::start() {
   refresh_plan();
   state_ = HandoverState::kMonitor;
   if (config_.predictive_enabled) subscribe_link();
-  monitor_.start(library_.daemon().simulator(), config_.monitor_period,
-                 [this] { tick(); }, config_.monitor_period);
+  monitor_.start(library_.daemon().simulator(), kMonitorPeriod,
+                 [this] { tick(); }, kMonitorPeriod);
 }
 
 void HandoverController::stop() {
@@ -78,8 +108,7 @@ void HandoverController::refresh_plan() {
     // the §3.4.3 mobility cost of the bridge: a relay moving with us is
     // likely to lose the peer exactly when we do.
     int score = std::min(record.quality_sum, link->quality) -
-                config_.bridge_mobility_penalty *
-                    mobility_cost(record.device.mobility);
+                kBridgeMobilityPenalty * mobility_cost(record.device.mobility);
     if (const auto failed = bridge_failures_.find(record.device.mac);
         failed != bridge_failures_.end()) {
       score -= kBridgeFailurePenalty * failed->second;
@@ -100,7 +129,7 @@ void HandoverController::refresh_plan() {
       const auto bridge_record =
           library_.daemon().storage().find(peer_record->bridge);
       if (bridge_record.has_value()) {
-        score -= config_.bridge_mobility_penalty *
+        score -= kBridgeMobilityPenalty *
                  mobility_cost(bridge_record->device.mobility);
       }
       if (const auto failed = bridge_failures_.find(peer_record->bridge);
@@ -124,9 +153,7 @@ void HandoverController::subscribe_link() {
   const net::NetAddress local = channel_->connection()->local_address();
   const net::NetAddress remote = channel_->connection()->remote_address();
   sim::QualityObserverConfig config;
-  config.threshold = config_.quality_threshold + config_.predict_headroom;
-  config.hysteresis = config_.hysteresis;
-  config.min_interval = config_.quality_eval_interval;
+  config.threshold = kArmThreshold;
   net::Network& network = library_.daemon().network();
   observer_ = network.observe_quality(
       local.mac, remote.mac, remote.tech, config,
@@ -156,10 +183,6 @@ void HandoverController::unsubscribe_link() {
 }
 
 double HandoverController::setup_estimate_s() const {
-  if (config_.bridge_setup_estimate > SimDuration{0}) {
-    return std::chrono::duration<double>(config_.bridge_setup_estimate)
-        .count();
-  }
   // Worst-case establishment of a §4.1 bridge chain: the PH_OK travels back
   // only after *two* hops re-established (self->bridge, bridge->peer), each
   // paying the per-hop connect delay — the §4.3 measurement this whole
@@ -208,8 +231,8 @@ void HandoverController::on_quality_event(const sim::LinkQualityEvent& event) {
 
 void HandoverController::arm_predictor() {
   if (predictor_.running()) return;
-  predictor_.start(library_.daemon().simulator(), config_.predict_poll_period,
-                   [this] { predict_check(); }, config_.predict_poll_period);
+  predictor_.start(library_.daemon().simulator(), kPredictPollPeriod,
+                   [this] { predict_check(); }, kPredictPollPeriod);
 }
 
 void HandoverController::disarm_predictor() { predictor_.stop(); }
@@ -226,8 +249,7 @@ void HandoverController::predict_check() {
   net::Network& network = library_.daemon().network();
   const sim::LinkQualityEvent probe =
       network.probe_link(local.mac, remote.mac, remote.tech);
-  if (probe.quality > config_.quality_threshold + config_.predict_headroom +
-                          config_.hysteresis) {
+  if (probe.quality > kArmThreshold + sim::QualityObserverConfig{}.hysteresis) {
     // Recovered (defensive double-check of the kRose edge).
     disarm_predictor();
     return;
@@ -245,7 +267,7 @@ void HandoverController::predict_check() {
   const double range = network.params(remote.tech).range_m;
   const double time_to_loss =
       (range - probe.distance_m) / probe.radial_speed_mps;
-  if (time_to_loss > setup_estimate_s() * config_.setup_margin) return;
+  if (time_to_loss > setup_estimate_s() * kSetupMargin) return;
   // Pre-dialing only makes sense onto a route that does not share the dying
   // first hop: resuming "via" the hop we are already on replaces the
   // connection with an identical path. Terminal loss with no alternative
@@ -299,12 +321,12 @@ void HandoverController::tick() {
 
   ++stats_.samples;
   const int quality = channel_->link_quality();
-  if (quality < config_.quality_threshold) {
+  if (quality < kQualityThreshold) {
     ++low_count_;
   } else {
     low_count_ = 0;
   }
-  if (low_count_ > config_.low_count_limit) {
+  if (low_count_ > kLowCountLimit) {
     ++stats_.degradations;
     low_count_ = 0;
     if (!emit(HandoverEvent{HandoverEvent::Kind::kDegradationDetected, {},
@@ -336,14 +358,8 @@ void HandoverController::execute() {
   } else if (config_.reconnection_enabled) {
     start_reconnection();
   } else {
-    busy_ = false;
     predicted_ = false;
-    state_ = HandoverState::kFailed;
-    if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                            "no routing plan and reconnection disabled"})) {
-      return;  // handler destroyed the controller
-    }
-    stop();
+    give_up("no routing plan and reconnection disabled");
   }
 }
 
@@ -379,24 +395,12 @@ void HandoverController::attempt_route(std::size_t candidate_index) {
         // The resume may resolve long after this controller died.
         if (token.expired()) return;
         if (status.ok()) {
-          ++stats_.handovers;
           if (predicted_ && !link_lost_since_dial_) {
             // The swap completed with the old transport still alive —
             // a genuine make-before-break, no outage window.
             ++stats_.predictive_handovers;
           }
-          predicted_ = false;
-          busy_ = false;
-          low_count_ = 0;
-          dead_link_passes_ = 0;
-          bridge_failures_.clear();
-          state_ = HandoverState::kMonitor;
-          // Traffic now flows through the bridge: move the observer to the
-          // link the device can actually sense (self -> bridge hop).
-          if (config_.predictive_enabled) subscribe_link();
-          (void)emit(HandoverEvent{HandoverEvent::Kind::kHandoverComplete,
-                                   bridge, nullptr,
-                                   "rerouted via " + bridge.to_string()});
+          on_repaired(bridge, "rerouted via " + bridge.to_string());
           return;
         }
         ++bridge_failures_[bridge];
@@ -406,7 +410,7 @@ void HandoverController::attempt_route(std::size_t candidate_index) {
         }
         attempt_route(candidate_index + 1);
       },
-      config_.resume_timeout);
+      kResumeTimeout);
 }
 
 void HandoverController::attempt_direct_resume() {
@@ -416,18 +420,8 @@ void HandoverController::attempt_direct_resume() {
       [this, token = sentinel_.token()](Status status) {
         if (token.expired()) return;
         if (status.ok()) {
-          // Same recovery as a successful routing handover, minus a bridge:
-          // the session survived, possibly across a peer restart.
-          ++stats_.handovers;
-          predicted_ = false;
-          busy_ = false;
-          low_count_ = 0;
-          dead_link_passes_ = 0;
-          bridge_failures_.clear();
-          state_ = HandoverState::kMonitor;
-          if (config_.predictive_enabled) subscribe_link();
-          (void)emit(HandoverEvent{HandoverEvent::Kind::kHandoverComplete, {},
-                                   nullptr, "resumed directly with peer"});
+          // The session survived, possibly across a peer restart.
+          on_repaired({}, "resumed directly with peer");
           return;
         }
         if (!emit(HandoverEvent{HandoverEvent::Kind::kHandoverFailed, {},
@@ -436,7 +430,7 @@ void HandoverController::attempt_direct_resume() {
         }
         finish_dead_link_pass();
       },
-      config_.resume_timeout);
+      kResumeTimeout);
 }
 
 void HandoverController::finish_dead_link_pass() {
@@ -454,10 +448,29 @@ void HandoverController::finish_dead_link_pass() {
     state_ = HandoverState::kMonitor;
     return;
   }
+  give_up("routing plan exhausted on a dead link");
+}
+
+void HandoverController::on_repaired(MacAddress bridge, std::string detail) {
+  ++stats_.handovers;
+  predicted_ = false;
+  busy_ = false;
+  low_count_ = 0;
+  dead_link_passes_ = 0;
+  bridge_failures_.clear();
+  state_ = HandoverState::kMonitor;
+  // Traffic may now flow through a bridge: move the observer to the link
+  // the device can actually sense (self -> bridge hop).
+  if (config_.predictive_enabled) subscribe_link();
+  (void)emit(HandoverEvent{HandoverEvent::Kind::kHandoverComplete, bridge,
+                           nullptr, std::move(detail)});
+}
+
+void HandoverController::give_up(std::string detail) {
   busy_ = false;
   state_ = HandoverState::kFailed;
   if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                          "routing plan exhausted on a dead link"})) {
+                          std::move(detail)})) {
     return;  // handler destroyed the controller
   }
   stop();
@@ -472,13 +485,7 @@ void HandoverController::start_reconnection() {
   auto proceed = [this, token = sentinel_.token()](bool granted) {
     if (token.expired()) return;
     if (!granted) {
-      busy_ = false;
-      state_ = HandoverState::kFailed;
-      if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                              "user declined reconnection"})) {
-        return;  // handler destroyed the controller
-      }
-      stop();
+      give_up("user declined reconnection");
       return;
     }
     const auto providers =
@@ -488,14 +495,7 @@ void HandoverController::start_reconnection() {
         providers.begin(), providers.end(),
         [old_peer](const DeviceRecord& r) { return r.device.mac != old_peer; });
     if (it == providers.end()) {
-      busy_ = false;
-      state_ = HandoverState::kFailed;
-      if (!emit(HandoverEvent{
-              HandoverEvent::Kind::kGaveUp, {}, nullptr,
-              "no alternative provider of " + channel_->service()})) {
-        return;  // handler destroyed the controller
-      }
-      stop();
+      give_up("no alternative provider of " + channel_->service());
       return;
     }
     Library::ConnectOptions options;
@@ -503,16 +503,11 @@ void HandoverController::start_reconnection() {
         it->device.mac, channel_->service(), options,
         [this, token](Result<ChannelPtr> result) {
           if (token.expired()) return;
-          busy_ = false;
           if (!result.ok()) {
-            state_ = HandoverState::kFailed;
-            if (!emit(HandoverEvent{HandoverEvent::Kind::kGaveUp, {}, nullptr,
-                                    result.error().to_string()})) {
-              return;  // handler destroyed the controller
-            }
-            stop();
+            give_up(result.error().to_string());
             return;
           }
+          busy_ = false;
           ++stats_.reconnections;
           state_ = HandoverState::kDone;
           // A reconnection is a *new* session: the task restarts (§5.2.2

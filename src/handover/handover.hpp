@@ -1,12 +1,11 @@
 // HandoverController — the §5.2 handover plane as an event-driven engine.
 //
 // The seed implementation was the paper's HandoverThread (Fig. 5.5)
-// verbatim: poll link quality once per second and react after
-// `low_count_limit` consecutive bad samples — by which time the corridor
-// walker of Fig. 5.4 has already lost the link, so every handover is an
-// outage. This engine keeps that reactive loop as the fallback and layers a
-// *predictive make-before-break* path on top of the medium's push-based
-// quality plane:
+// verbatim: poll link quality once per second and react after three
+// consecutive bad samples — by which time the corridor walker of Fig. 5.4
+// has already lost the link, so every handover is an outage. This engine
+// keeps that reactive loop as the fallback and layers a *predictive
+// make-before-break* path on top of the medium's push-based quality plane:
 //
 //  * On start the controller subscribes a quality observer on the current
 //    transport link (RadioMedium::observe_quality). The medium pushes
@@ -46,23 +45,12 @@ namespace peerhood::handover {
 
 struct HandoverConfig {
   // --- Reactive (paper) parameters -----------------------------------------
-  int quality_threshold{230};
-  int low_count_limit{3};
-  SimDuration monitor_period{std::chrono::seconds{1}};
   // Routing-handover attempts (distinct bridges) before falling back.
   int max_route_attempts{2};
-  // Plan scoring: quality units subtracted per §3.4.3 mobility-cost unit of
-  // the bridge ({static,hybrid,dynamic} = {0,1,3}). A mobile bridge whose
-  // own link is about to die with ours (e.g. a fellow group member walking
-  // the same corridor) must lose to a weaker but static relay even when its
-  // advertised neighbour qualities are a full inquiry cycle stale — hence a
-  // penalty larger than the stale-quality spread (~60 units for dynamic).
-  int bridge_mobility_penalty{20};
   // Disables routing handover entirely (hard-handover baseline: reconnect
   // to another provider only — the Fig. 5.3 behaviour).
   bool routing_enabled{true};
   bool reconnection_enabled{true};
-  SimDuration resume_timeout{std::chrono::seconds{30}};
   // Full routing-plan passes attempted against a dead link before the
   // controller goes terminal. Crash scenarios raise this so the controller
   // keeps retrying across a server's downtime and the restart-resume path
@@ -77,23 +65,6 @@ struct HandoverConfig {
 
   // --- Predictive make-before-break layer ----------------------------------
   bool predictive_enabled{true};
-  // The observer arms the predictor this many quality units *above* the
-  // reactive threshold: early warning, so a slow bridge chain can still be
-  // pre-dialed before the link reaches the edge.
-  int predict_headroom{10};
-  // Hysteresis band for the quality observer (kRose needs threshold +
-  // hysteresis, so a hovering link cannot chatter).
-  int hysteresis{5};
-  // Observer rate limit: the medium re-evaluates the link at most this
-  // often, however many events advance the clock.
-  SimDuration quality_eval_interval{std::chrono::milliseconds{100}};
-  // Cadence of the armed predictor between crossing events.
-  SimDuration predict_poll_period{std::chrono::milliseconds{250}};
-  // Estimated bridge establishment latency. zero() = derive from the link's
-  // technology parameters (worst-case per-hop connect delay) at start.
-  SimDuration bridge_setup_estimate{SimDuration{0}};
-  // Pre-dial when predicted time-to-loss < estimate × margin.
-  double setup_margin{1.3};
 };
 
 enum class HandoverState {
@@ -186,6 +157,11 @@ class HandoverController {
   // terminal.
   void finish_dead_link_pass();
   void start_reconnection();
+  // The two ends of a repair episode. on_repaired: the session survived
+  // (via `bridge`, or directly when it is unset) — back to monitor state and
+  // report kHandoverComplete. give_up: go terminal with kGaveUp.
+  void on_repaired(MacAddress bridge, std::string detail);
+  void give_up(std::string detail);
 
   // Predictive layer.
   void subscribe_link();    // (re-)observe the current transport link

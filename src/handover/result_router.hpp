@@ -34,12 +34,11 @@ struct ResultRouterConfig {
   // Reconnect attempts; between attempts the router waits for the discovery
   // process to (re)locate the client (the stale direct record must age out
   // and a bridged route take its place — several inquiry cycles). The wait
-  // doubles per attempt from retry_base up to retry_cap, scaled by
+  // doubles per attempt from retry_base up to kRetryCap, scaled by
   // uniform(1 ± retry_jitter) so concurrent deliveries to one reappearing
   // client do not reconnect in lock-step.
   int max_attempts{6};
   SimDuration retry_base{std::chrono::seconds{6}};
-  SimDuration retry_cap{std::chrono::seconds{48}};
   double retry_jitter{0.25};
   SimDuration connect_timeout{std::chrono::seconds{60}};
 };

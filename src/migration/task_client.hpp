@@ -20,9 +20,6 @@ namespace peerhood::migration {
 
 struct TaskClientConfig {
   TaskSpec spec{};
-  // Attach a handover controller to the upload channel.
-  bool use_handover{true};
-  handover::HandoverConfig handover{};
   // How the server may call back with the result (§5.3 Methods 1 and 2).
   handover::ReconnectMethod reconnect_method{
       handover::ReconnectMethod::kClientParams};

@@ -3,6 +3,12 @@
 #include "common/log.hpp"
 
 namespace peerhood::migration {
+namespace {
+
+// Sessions with no progress for this long are discarded.
+constexpr SimDuration kSessionTimeout = std::chrono::seconds{300};
+
+}  // namespace
 
 TaskServer::TaskServer(Library& library, TaskServerConfig config)
     : library_{library},
@@ -64,7 +70,7 @@ void TaskServer::arm_timeout(std::uint64_t session_id) {
   sim::Simulator& sim = library_.daemon().simulator();
   sim.cancel(it->second.timeout);
   it->second.timeout = sim.schedule_after(
-      config_.session_timeout, [this, session_id] {
+      kSessionTimeout, [this, session_id] {
         const auto found = sessions_.find(session_id);
         if (found == sessions_.end()) return;
         if (!found->second.processing) ++stats_.uploads_abandoned;

@@ -21,8 +21,6 @@ struct TaskServerConfig {
   // Result payload size (e.g. the annotated picture sent back).
   std::uint32_t result_size{4000};
   handover::ResultRouterConfig result_routing{};
-  // Sessions with no progress for this long are discarded.
-  SimDuration session_timeout{std::chrono::seconds{300}};
 };
 
 class TaskServer {

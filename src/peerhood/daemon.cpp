@@ -19,6 +19,11 @@ std::uint64_t mint_epoch(MacAddress mac) {
   return (mac.as_u64() << 20) ^ counter.fetch_add(1);
 }
 
+// Deferred fetch replies queued per peer; when full the oldest queued reply
+// is dropped (and counted) before the new one is queued, so a requester
+// storm cannot grow daemon memory without bound.
+constexpr std::size_t kMaxPeerSendQueue = 8;
+
 }  // namespace
 
 Daemon::Daemon(net::Network& network, MacAddress mac,
@@ -30,10 +35,8 @@ Daemon::Daemon(net::Network& network, MacAddress mac,
       self_{mac, config_.device_name,
             static_cast<std::uint32_t>(mac.as_u64() & 0xffffffffu),
             config_.mobility},
-      storage_{config_.route_policy},
       analyzer_{mac, AnalyzerConfig{config_.propagate_routes}},
-      engine_{network, mac},
-      session_store_{config_.session_journal_capacity} {
+      engine_{network, mac} {
   if (!config_.session_journal_path.empty()) {
     session_store_.bind_file(config_.session_journal_path);
   }
@@ -212,7 +215,7 @@ void Daemon::answer_fetch(Technology tech, MacAddress from,
   // and no event outlives the daemon. The closure stays inline-sized by
   // capturing only the queue key; the frame lives in the queue entry.
   std::deque<PendingSend>& queue = send_queues_[from.as_u64()];
-  if (queue.size() >= config_.max_peer_send_queue && !queue.empty()) {
+  if (queue.size() >= kMaxPeerSendQueue && !queue.empty()) {
     simulator().cancel(queue.front().event);
     queue.pop_front();
     ++send_queue_drops_;

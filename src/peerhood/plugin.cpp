@@ -6,6 +6,25 @@
 #include "peerhood/daemon.hpp"
 
 namespace peerhood {
+namespace {
+
+// Direct devices missing this many consecutive inquiry loops are dropped
+// (Fig. 3.12 time-stamp aging).
+constexpr int kMaxMissedLoops = 3;
+
+// Discovery-fetch robustness (fault-plane hardening). A fetch waits
+// cost * kFetchTimeoutMult + kFetchTimeoutExtra for its response; a timed-out
+// fetch is re-issued up to kFetchRetries more times, spaced by jittered
+// exponential backoff (kFetchRetryBackoff doubling per attempt, scaled by
+// uniform(1 ± kFetchRetryJitter)), before the responder is treated as gone
+// for this cycle and its conditional-fetch baseline drops.
+constexpr double kFetchTimeoutMult = 3.0;
+constexpr SimDuration kFetchTimeoutExtra = std::chrono::seconds{2};
+constexpr int kFetchRetries = 1;
+constexpr SimDuration kFetchRetryBackoff = std::chrono::seconds{1};
+constexpr double kFetchRetryJitter = 0.5;
+
+}  // namespace
 
 Plugin::Plugin(Daemon& daemon, Technology technology)
     : daemon_{daemon}, tech_{technology} {}
@@ -304,19 +323,17 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
   pending.target = target;
   pending.request_id = request_id;
   pending.done = std::move(done);
-  const DaemonConfig& cfg = daemon_.config();
   const SimDuration deadline =
       seconds(std::chrono::duration<double>(cost).count() *
-              cfg.fetch_timeout_mult) +
-      cfg.fetch_timeout_extra;
+              kFetchTimeoutMult) +
+      kFetchTimeoutExtra;
   pending.timeout =
       sim.schedule_after(deadline, [this, target, sections, cost, attempt] {
         if (!pending_.has_value()) return;
         ++stats_.fetch_timeouts;
         FetchCallback cb = std::move(pending_->done);
         pending_.reset();
-        const DaemonConfig& cfg = daemon_.config();
-        if (attempt < cfg.fetch_retries) {
+        if (attempt < kFetchRetries) {
           // Re-ask after a jittered, doubling backoff: a loss burst that ate
           // the response (or the request) may still be in progress, and
           // synchronised retries from several requesters would pile onto the
@@ -324,10 +341,10 @@ void Plugin::fetch_section(MacAddress target, std::uint8_t sections,
           ++stats_.fetch_retries;
           sim::Simulator& sim = daemon_.simulator();
           const double base =
-              std::chrono::duration<double>(cfg.fetch_retry_backoff).count() *
+              std::chrono::duration<double>(kFetchRetryBackoff).count() *
               static_cast<double>(std::uint64_t{1} << attempt);
-          const double scale = sim.rng().uniform(1.0 - cfg.fetch_retry_jitter,
-                                                 1.0 + cfg.fetch_retry_jitter);
+          const double scale = sim.rng().uniform(1.0 - kFetchRetryJitter,
+                                                 1.0 + kFetchRetryJitter);
           sim.schedule_after(
               seconds(base * scale),
               [this, token = sentinel_.token(), target, sections, cost,
@@ -460,7 +477,7 @@ bool Plugin::integrate_response(MacAddress target,
 
 void Plugin::complete_cycle() {
   const auto removed = daemon_.storage().age_direct(
-      tech_, cycle_responders_, daemon_.config().max_missed_loops,
+      tech_, cycle_responders_, kMaxMissedLoops,
       daemon_.simulator().now());
   stats_.removed_devices += removed.size();
   // Dropped devices lose their version baselines too: if one comes back it

@@ -30,7 +30,7 @@ class Plugin {
     std::uint64_t fetch_attempts{0};
     std::uint64_t fetch_failures{0};
     std::uint64_t fetch_timeouts{0};
-    // Timed-out fetches re-issued with backoff (config.fetch_retries), and
+    // Timed-out fetches re-issued with backoff (kFetchRetries), and
     // responses dropped by duplicate/stale suppression: nothing pending,
     // wrong peer, or a request id we are no longer waiting for (a late
     // answer to a retried or completed fetch, or a fault-plane duplicate).

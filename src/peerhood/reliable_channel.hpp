@@ -17,8 +17,8 @@
 //    ignored instead of regressing the sender's view.
 //  * A receiver holding a gap flushes its ack immediately instead of
 //    batching; the resulting duplicate acks trigger a fast retransmit of
-//    the first unacked frame after `dup_ack_threshold` repeats, well before
-//    the retransmit timer fires.
+//    the first unacked frame after three repeats, well before the
+//    retransmit timer fires.
 //  * The retransmit timer backs off exponentially (doubling up to
 //    `retransmit_cap`) while no progress is made and resets to the base
 //    interval on every new ack, so a dead link is probed gently and a
@@ -59,14 +59,8 @@ struct ReliableConfig {
   // round without progress, capped at retransmit_cap.
   SimDuration retransmit_interval{std::chrono::seconds{5}};
   SimDuration retransmit_cap{std::chrono::seconds{40}};
-  // Consecutive duplicate cumulative acks that trigger a fast retransmit of
-  // the first unacked frame. 0 disables fast retransmit.
-  int dup_ack_threshold{3};
   // Maximum buffered-but-unacked frames before write() refuses.
   std::size_t window{256};
-  // Maximum out-of-order frames the receiver buffers; also the basis of the
-  // window it advertises in every ack.
-  std::size_t reorder_cap{256};
 };
 
 // The reliability layer's wire frames, exposed for the protocol fuzzer: the

@@ -36,6 +36,8 @@ struct SessionRecord {
 
 class SessionStore {
  public:
+  // `capacity` bounds the resume records that survive a crash; the least
+  // recently touched record is evicted first.
   explicit SessionStore(std::size_t capacity = 64) : capacity_{capacity} {}
 
   // Optional file persistence — the journal of a *real* daemon process.

@@ -19,8 +19,7 @@ class BridgeTest : public ::testing::Test {
     testbed_->medium().configure(reliable_bluetooth());
     a_ = &testbed_->add_node("a", {0.0, 0.0},
                              fast_node(MobilityClass::kDynamic));
-    b_ = &testbed_->add_node("b", {8.0, 0.0},
-                             fast_node(MobilityClass::kStatic));
+    b_ = &testbed_->add_node("b", {8.0, 0.0}, relay_options_);
     double x = 16.0;
     node::Node* last = &testbed_->add_node(
         "c", {x, 0.0}, fast_node(MobilityClass::kStatic));
@@ -43,6 +42,8 @@ class BridgeTest : public ::testing::Test {
     testbed_->run_discovery_rounds(4 + extra_hops * 2);
   }
 
+  // Options of the relay b; a test may adjust them before build().
+  node::NodeOptions relay_options_ = fast_node(MobilityClass::kStatic);
   std::unique_ptr<Testbed> testbed_;
   node::Node* a_{nullptr};
   node::Node* b_{nullptr};
@@ -154,6 +155,19 @@ TEST_F(BridgeTest, CapacityLimitRejects) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kCapacityExceeded);
   delete constrained;
+}
+
+TEST_F(BridgeTest, NodeOptionsCapacityIsHonoured) {
+  // The testbed hands NodeOptions::bridge to the relay unchanged: with room
+  // for one relayed pair, a second connection through b is refused.
+  relay_options_.bridge.max_connections = 1;
+  build(7);
+  auto first = a_->connect_blocking(end_->mac(), "echo");
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  auto second = a_->connect_blocking(end_->mac(), "echo");
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.error().code, ErrorCode::kCapacityExceeded);
+  EXPECT_EQ(b_->bridge_service().active_pairs(), 1);
 }
 
 TEST_F(BridgeTest, FailurePropagatesWhenDestinationGone) {

@@ -1,6 +1,7 @@
 // End-to-end task migration (Ch. 5 / Fig. 5.10): the three §5.3 regimes —
 // small task completes in coverage, medium task gets its result routed back
-// after the client moved, huge task needs mid-upload handover.
+// after the client moved (by either call-back method), huge task needs
+// mid-upload handover.
 #include <gtest/gtest.h>
 
 #include "migration/task_client.hpp"
@@ -49,11 +50,13 @@ TEST(Migration, SmallTaskCompletesLive) {
   EXPECT_EQ(task_server.stats().results_routed, 0u);
 }
 
-TEST(Migration, MediumTaskResultRoutedAfterClientMoves) {
-  // §5.3 case 2: "the connection is broken during the processing time after
-  // the server has already received all picture information ... server
-  // looks for the device in its neighborhood routing table and tries to
-  // send the result back after the task processing."
+// §5.3 case 2: "the connection is broken during the processing time after
+// the server has already received all picture information ... server looks
+// for the device in its neighborhood routing table and tries to send the
+// result back after the task processing." `method` picks how the server
+// finds the client's call-back service: pushed in the handshake (Method 2,
+// the default) or advertised as a visible "client" service (Method 1).
+void expect_result_routed_after_client_moves(handover::ReconnectMethod method) {
   Testbed testbed{2};
   testbed.medium().configure(reliable_bluetooth());
   auto& server = testbed.add_node("server", {0.0, 0.0},
@@ -70,12 +73,14 @@ TEST(Migration, MediumTaskResultRoutedAfterClientMoves) {
       fast_node(MobilityClass::kDynamic));
 
   TaskServerConfig server_config;
+  server_config.result_routing.method = method;
   server_config.result_routing.max_attempts = 8;
   TaskServer task_server{server.library(), server_config};
   task_server.start();
   testbed.run_discovery_rounds(3);
 
   TaskClientConfig config;
+  config.reconnect_method = method;
   config.spec.package_count = 10;
   config.spec.package_size = 1000;
   // 10 x 9 s = 90 s of processing: finishes long after the client left.
@@ -93,6 +98,20 @@ TEST(Migration, MediumTaskResultRoutedAfterClientMoves) {
       << "error: " << outcome->error.to_string();
   EXPECT_FALSE(outcome->upload_interrupted);
   EXPECT_EQ(task_server.stats().results_routed, 1u);
+  // The server reached the client through the relay, not directly.
+  const auto record = server.daemon().storage().find(client.mac());
+  ASSERT_TRUE(record.has_value());
+  EXPECT_FALSE(record->is_direct());
+}
+
+TEST(Migration, MediumTaskResultRoutedAfterClientMoves) {
+  expect_result_routed_after_client_moves(
+      handover::ReconnectMethod::kClientParams);
+}
+
+TEST(Migration, MediumTaskResultRoutedToVisibleClientService) {
+  expect_result_routed_after_client_moves(
+      handover::ReconnectMethod::kClientService);
 }
 
 TEST(Migration, HugeTaskSurvivesMidUploadHandover) {
